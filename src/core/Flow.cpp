@@ -3,9 +3,6 @@
 #include "core/Session.h"
 #include "support/Error.h"
 
-#include <algorithm>
-#include <map>
-
 namespace cfd {
 
 Flow::Flow(std::shared_ptr<Pipeline> pipeline)
@@ -58,29 +55,8 @@ sim::SimResult Flow::simulate(sim::SimOptions simOptions) const {
 }
 
 double Flow::validate(std::uint64_t seed) const {
-  const ir::Program& program = pipeline_->program();
-  const sched::Schedule& schedule = pipeline_->schedule();
-  std::map<std::string, eval::DenseTensor> reference;
-  eval::TensorStore store(program, schedule.layouts);
-  for (const auto& tensor : program.tensors()) {
-    if (tensor.kind != ir::TensorKind::Input)
-      continue;
-    const eval::DenseTensor value =
-        eval::makeTestInput(tensor.type.shape, seed++);
-    reference[tensor.name] = value;
-    store.import(tensor.id, value);
-  }
-  eval::evaluateReference(pipeline_->ast(), reference);
-  eval::execute(schedule, store);
-  double maxError = 0.0;
-  for (const auto& tensor : program.tensors()) {
-    if (tensor.kind != ir::TensorKind::Output)
-      continue;
-    maxError = std::max(maxError,
-                        eval::maxAbsDifference(store.exportTensor(tensor.id),
-                                               reference.at(tensor.name)));
-  }
-  return maxError;
+  return eval::validate(pipeline_->ast(), pipeline_->schedule(), seed)
+      .maxError;
 }
 
 eval::OpCounts

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace cfd::eval {
 
@@ -79,27 +80,107 @@ void TensorStore::store(ir::TensorId id, std::int64_t flatOffset,
   buf[static_cast<std::size_t>(flatOffset)] = value;
 }
 
+namespace {
+
+/// One access lowered to flat-offset form over a loop box: the offset at
+/// loop point i is base + sum_d stride[d] * i[d], the constant term and
+/// coefficients of layout.map ∘ access.map. `offset` tracks the current
+/// point as forEachPoint steps.
+struct LoweredAccess {
+  double* data = nullptr;
+  std::int64_t size = 0;
+  std::int64_t offset = 0;
+  std::vector<std::int64_t> strides;
+
+  void bind(std::vector<double>& buffer) {
+    data = buffer.data();
+    size = static_cast<std::int64_t>(buffer.size());
+  }
+
+  double load() const {
+    CFD_ASSERT(offset >= 0 && offset < size, "load out of bounds");
+    return data[offset];
+  }
+  void store(double value) const {
+    CFD_ASSERT(offset >= 0 && offset < size, "store out of bounds");
+    data[offset] = value;
+  }
+};
+
+/// Lowers `flat`, a map whose first result is the flat offset, to its
+/// constant term and strides (no buffer bound yet).
+LoweredAccess lower(const poly::AffineMap& flat) {
+  const poly::AffineExpr& expr = flat.result(0);
+  LoweredAccess access;
+  access.offset = expr.constantTerm();
+  for (int d = 0; d < flat.numDims(); ++d)
+    access.strides.push_back(expr.coefficient(d));
+  return access;
+}
+
+/// Calls body() at every point of the box [0, extents) in row-major
+/// order (once for a rank-0 box, never for an empty one), keeping each
+/// access's offset at the current point. When dimension d advances,
+/// every inner dimension wraps from extent-1 to 0, so an offset moves by
+/// carry[d] = stride[d] - sum_{e>d} stride[e] * (extent[e] - 1).
+template <typename Body>
+void forEachPoint(std::span<const std::int64_t> extents,
+                  std::span<LoweredAccess* const> accesses, Body&& body) {
+  const std::size_t rank = extents.size();
+  for (std::int64_t extent : extents)
+    if (extent <= 0)
+      return;
+  std::vector<std::int64_t> carries(rank * accesses.size()); // [dim][access]
+  for (std::size_t a = 0; a < accesses.size(); ++a) {
+    CFD_ASSERT(accesses[a]->strides.size() == rank, "access rank mismatch");
+    std::int64_t wrapped = 0;
+    for (std::size_t d = rank; d-- > 0;) {
+      const std::int64_t stride = accesses[a]->strides[d];
+      carries[d * accesses.size() + a] = stride - wrapped;
+      wrapped += stride * (extents[d] - 1);
+    }
+  }
+  std::vector<std::int64_t> counter(rank, 0);
+  while (true) {
+    body();
+    // Find the innermost dimension that advances without wrapping.
+    std::size_t d = rank;
+    for (; d > 0; --d) {
+      if (++counter[d - 1] < extents[d - 1])
+        break;
+      counter[d - 1] = 0;
+    }
+    if (d == 0)
+      return;
+    const std::int64_t* carry = &carries[(d - 1) * accesses.size()];
+    for (std::size_t a = 0; a < accesses.size(); ++a)
+      accesses[a]->offset += carry[a];
+  }
+}
+
+} // namespace
+
 void TensorStore::import(ir::TensorId id, const DenseTensor& value) {
   const ir::Tensor& tensor = program_->tensor(id);
   CFD_ASSERT(tensor.type.shape == value.shape,
              "import shape mismatch on " + tensor.name);
-  const auto& layout = layouts_->layoutOf(id);
-  poly::Box::fromShape(tensor.type.shape)
-      .forEachPoint([&](std::span<const std::int64_t> index) {
-        const auto offset = layout.map.evaluate(index);
-        store(id, offset[0], value.at(index));
-      });
+  LoweredAccess element = lower(layouts_->layoutOf(id).map);
+  LoweredAccess* elements[] = {&element};
+  std::size_t next = 0;
+  forEachPoint(tensor.type.shape, elements, [&] {
+    store(id, element.offset, value.data[next++]);
+  });
 }
 
 DenseTensor TensorStore::exportTensor(ir::TensorId id) const {
   const ir::Tensor& tensor = program_->tensor(id);
   DenseTensor out = DenseTensor::zeros(tensor.type.shape);
-  const auto& layout = layouts_->layoutOf(id);
-  poly::Box::fromShape(tensor.type.shape)
-      .forEachPoint([&](std::span<const std::int64_t> index) {
-        const auto offset = layout.map.evaluate(index);
-        out.at(index) = load(id, offset[0]);
-      });
+  LoweredAccess element = lower(layouts_->layoutOf(id).map);
+  LoweredAccess* elements[] = {&element};
+  std::size_t next = 0;
+  forEachPoint(tensor.type.shape, elements, [&] {
+    out.data[next++] = load(id, element.offset);
+  });
   return out;
 }
 
@@ -114,108 +195,122 @@ OpCounts& OpCounts::operator+=(const OpCounts& other) {
   return *this;
 }
 
-namespace {
-
-/// Evaluates the flat offset of an access at the current loop point,
-/// composing access map and layout once outside the loop would be
-/// faster; for clarity this interpreter recomputes per point.
-struct BoundAccess {
-  ir::TensorId tensor;
-  poly::AffineMap flat; // loop space -> flat offset
-};
-
-BoundAccess bind(const sched::LayoutAssignment& layouts,
-                 const ir::Access& access) {
-  return {access.tensor, layouts.layoutOf(access.tensor).map.compose(access.map)};
-}
-
-} // namespace
-
 OpCounts execute(const sched::Schedule& schedule, TensorStore& store) {
   CFD_ASSERT(schedule.program != nullptr, "schedule without program");
   OpCounts counts;
 
   for (const auto& stmt : schedule.statements) {
     ++counts.statements;
-    const BoundAccess write = bind(schedule.layouts, stmt.write);
-    std::vector<BoundAccess> reads;
-    reads.reserve(stmt.reads.size());
-    for (const auto& read : stmt.reads)
-      reads.push_back(bind(schedule.layouts, read));
 
     // Zero-initialize accumulation targets over their index space.
     if (stmt.needsInit) {
       const auto& target = schedule.program->tensor(stmt.write.tensor);
-      const auto& layout = schedule.layouts.layoutOf(stmt.write.tensor);
-      target.type.indexSpace().forEachPoint(
-          [&](std::span<const std::int64_t> index) {
-            store.store(stmt.write.tensor, layout.map.evaluate(index)[0],
-                        0.0);
-            ++counts.stores;
-          });
+      LoweredAccess element =
+          lower(schedule.layouts.layoutOf(stmt.write.tensor).map);
+      element.bind(store.buffer(stmt.write.tensor));
+      LoweredAccess* elements[] = {&element};
+      forEachPoint(target.type.shape, elements, [&] {
+        element.store(0.0);
+        ++counts.stores;
+      });
     }
+
+    // Lower every access once: layout.map ∘ access.map, bound to its
+    // buffer for the whole statement.
+    const auto lowerAccess = [&](const ir::Access& access) {
+      LoweredAccess lowered = lower(
+          schedule.layouts.layoutOf(access.tensor).map.compose(access.map));
+      lowered.bind(store.buffer(access.tensor));
+      return lowered;
+    };
+    LoweredAccess write = lowerAccess(stmt.write);
+    std::vector<LoweredAccess> reads;
+    reads.reserve(stmt.reads.size());
+    for (const auto& read : stmt.reads)
+      reads.push_back(lowerAccess(read));
+    std::vector<LoweredAccess*> accesses = {&write};
+    for (auto& read : reads)
+      accesses.push_back(&read);
 
     std::vector<std::int64_t> extents;
     extents.reserve(stmt.loops.size());
     for (const auto& loop : stmt.loops)
       extents.push_back(loop.extent);
-    const poly::Box loopBox = poly::Box::fromShape(extents);
+    const auto loops = [&](auto&& body) {
+      forEachPoint(extents, accesses, body);
+    };
 
-    const bool registerAccumulator =
-        stmt.kind == ir::OpKind::Contract && stmt.needsInit &&
-        stmt.innermostIsReduction();
-
-    double accumulator = 0.0;
-    std::int64_t accumulatorOffset = -1;
-
-    loopBox.forEachPoint([&](std::span<const std::int64_t> point) {
-      ++counts.loopIterations;
-      switch (stmt.kind) {
-      case ir::OpKind::Contract: {
-        const double a = store.load(reads[0].tensor,
-                                    reads[0].flat.evaluate(point)[0]);
-        const double b = store.load(reads[1].tensor,
-                                    reads[1].flat.evaluate(point)[0]);
-        counts.loads += 2;
-        const double product = a * b;
-        ++counts.fmul;
-        if (!stmt.needsInit) {
-          // Pure outer product: direct store.
-          store.store(write.tensor, write.flat.evaluate(point)[0], product);
+    switch (stmt.kind) {
+    case ir::OpKind::Contract: {
+      const LoweredAccess& lhs = reads[0];
+      const LoweredAccess& rhs = reads[1];
+      if (!stmt.needsInit) {
+        // Pure outer product: direct store.
+        loops([&] {
+          ++counts.loopIterations;
+          const double a = lhs.load();
+          const double b = rhs.load();
+          counts.loads += 2;
+          const double product = a * b;
+          ++counts.fmul;
+          write.store(product);
           ++counts.stores;
-          break;
-        }
-        const std::int64_t offset = write.flat.evaluate(point)[0];
-        if (registerAccumulator) {
-          // Innermost loop is the (single innermost) reduction: keep the
-          // partial sum in a register as compiled CPU code would.
-          if (offset != accumulatorOffset) {
-            if (accumulatorOffset >= 0) {
-              store.store(write.tensor, accumulatorOffset, accumulator);
+        });
+      } else if (stmt.innermostIsReduction()) {
+        // Innermost loop is the (single innermost) reduction: keep the
+        // partial sum in a register as compiled CPU code would.
+        LoweredAccess accumulatorAt = write;
+        accumulatorAt.offset = -1;
+        double accumulator = 0.0;
+        loops([&] {
+          ++counts.loopIterations;
+          const double a = lhs.load();
+          const double b = rhs.load();
+          counts.loads += 2;
+          const double product = a * b;
+          ++counts.fmul;
+          if (write.offset != accumulatorAt.offset) {
+            if (accumulatorAt.offset >= 0) {
+              accumulatorAt.store(accumulator);
               ++counts.stores;
             }
-            accumulator = store.load(write.tensor, offset);
+            accumulator = write.load();
             ++counts.loads;
-            accumulatorOffset = offset;
+            accumulatorAt.offset = write.offset;
           }
           accumulator += product;
           ++counts.fadd;
-        } else {
-          // Read-modify-write through the target array (the PLM-style
-          // accumulation of the hardware schedule).
-          const double current = store.load(write.tensor, offset);
-          ++counts.loads;
-          store.store(write.tensor, offset, current + product);
-          ++counts.fadd;
+        });
+        if (accumulatorAt.offset >= 0) {
+          accumulatorAt.store(accumulator);
           ++counts.stores;
         }
-        break;
+      } else {
+        // Read-modify-write through the target array (the PLM-style
+        // accumulation of the hardware schedule).
+        loops([&] {
+          ++counts.loopIterations;
+          const double a = lhs.load();
+          const double b = rhs.load();
+          counts.loads += 2;
+          const double product = a * b;
+          ++counts.fmul;
+          const double current = write.load();
+          ++counts.loads;
+          write.store(current + product);
+          ++counts.fadd;
+          ++counts.stores;
+        });
       }
-      case ir::OpKind::EntryWise: {
-        const double a = store.load(reads[0].tensor,
-                                    reads[0].flat.evaluate(point)[0]);
-        const double b = store.load(reads[1].tensor,
-                                    reads[1].flat.evaluate(point)[0]);
+      break;
+    }
+    case ir::OpKind::EntryWise: {
+      const LoweredAccess& lhs = reads[0];
+      const LoweredAccess& rhs = reads[1];
+      loops([&] {
+        ++counts.loopIterations;
+        const double a = lhs.load();
+        const double b = rhs.load();
         counts.loads += 2;
         double value = 0.0;
         switch (stmt.entryWise) {
@@ -236,29 +331,29 @@ OpCounts execute(const sched::Schedule& schedule, TensorStore& store) {
           ++counts.fdiv;
           break;
         }
-        store.store(write.tensor, write.flat.evaluate(point)[0], value);
+        write.store(value);
         ++counts.stores;
-        break;
-      }
-      case ir::OpKind::Copy: {
-        const double value = store.load(reads[0].tensor,
-                                        reads[0].flat.evaluate(point)[0]);
+      });
+      break;
+    }
+    case ir::OpKind::Copy: {
+      const LoweredAccess& source = reads[0];
+      loops([&] {
+        ++counts.loopIterations;
+        const double value = source.load();
         ++counts.loads;
-        store.store(write.tensor, write.flat.evaluate(point)[0], value);
+        write.store(value);
         ++counts.stores;
-        break;
-      }
-      case ir::OpKind::Fill: {
-        store.store(write.tensor, write.flat.evaluate(point)[0],
-                    stmt.scalar);
+      });
+      break;
+    }
+    case ir::OpKind::Fill:
+      loops([&] {
+        ++counts.loopIterations;
+        write.store(stmt.scalar);
         ++counts.stores;
-        break;
-      }
-      }
-    });
-    if (registerAccumulator && accumulatorOffset >= 0) {
-      store.store(write.tensor, accumulatorOffset, accumulator);
-      ++counts.stores;
+      });
+      break;
     }
   }
   return counts;
@@ -302,62 +397,131 @@ DenseTensor evaluateEntryWise(const dsl::Expr& expr,
 
 /// Direct contraction semantics: iterate output dims x reduced dims,
 /// evaluating the factor product at each point (no factorization).
+///
+/// Indices are numbered free dims first, then one per pair (both ends of
+/// a pair share it). Each factor gets a row-major stride per index; a
+/// pair inside one factor adds both of its strides. The output is visited
+/// row-major and, per output element, the reduction indices
+/// lexicographically (last pair innermost, run as a tight loop); every
+/// term is 1.0 times each factor from left to right. Offsets are
+/// recomputed from the index tuple rather than stepped, so this path
+/// shares neither code nor technique with the interpreter's carries.
 DenseTensor evaluateContraction(const dsl::Expr& product,
                                 const std::vector<dsl::IndexPair>& pairs,
                                 std::map<std::string, DenseTensor>& values) {
   std::vector<DenseTensor> factors;
   std::vector<std::int64_t> globalShape;
+  // Global dim -> (factor, row-major stride within that factor).
+  std::vector<std::pair<std::size_t, std::int64_t>> globalStride;
   for (const auto& operand : product.operands) {
     factors.push_back(evaluateExpr(*operand, values));
-    globalShape.insert(globalShape.end(), factors.back().shape.begin(),
-                       factors.back().shape.end());
+    const std::vector<std::int64_t>& shape = factors.back().shape;
+    globalShape.insert(globalShape.end(), shape.begin(), shape.end());
+    const std::size_t first = globalStride.size();
+    globalStride.resize(first + shape.size());
+    std::int64_t stride = 1;
+    for (std::size_t d = shape.size(); d-- > 0;) {
+      globalStride[first + d] = {factors.size() - 1, stride};
+      stride *= shape[d];
+    }
   }
-  const int globalRank = static_cast<int>(globalShape.size());
+  const std::size_t numFactors = factors.size();
 
-  std::vector<bool> reduced(static_cast<std::size_t>(globalRank), false);
-  for (const auto& pair : pairs) {
-    reduced[static_cast<std::size_t>(pair.first)] = true;
-    reduced[static_cast<std::size_t>(pair.second)] = true;
-  }
-  std::vector<int> freeDims, redDims;
-  for (int d = 0; d < globalRank; ++d)
-    (reduced[static_cast<std::size_t>(d)] ? redDims : freeDims).push_back(d);
-
-  std::vector<std::int64_t> outShape, redShape;
-  for (int d : freeDims)
-    outShape.push_back(globalShape[static_cast<std::size_t>(d)]);
-  // One reduction index per *pair*; both pair ends share it.
+  std::vector<bool> reduced(globalShape.size(), false);
   for (const auto& pair : pairs)
-    redShape.push_back(globalShape[static_cast<std::size_t>(pair.first)]);
+    for (int d : {pair.first, pair.second}) {
+      CFD_ASSERT(!reduced[static_cast<std::size_t>(d)],
+                 "dimension contracted twice");
+      reduced[static_cast<std::size_t>(d)] = true;
+    }
+  std::vector<std::size_t> indexDims; // free dims, then each pair's first
+  std::vector<std::int64_t> outShape;
+  for (std::size_t d = 0; d < globalShape.size(); ++d)
+    if (!reduced[d]) {
+      indexDims.push_back(d);
+      outShape.push_back(globalShape[d]);
+    }
+  for (const auto& pair : pairs)
+    indexDims.push_back(static_cast<std::size_t>(pair.first));
+  const std::size_t numFree = outShape.size();
+  const std::size_t numIndices = indexDims.size();
+
+  std::vector<std::int64_t> extents(numIndices);
+  // strides[f * numIndices + k]: factor f's offset step along index k.
+  std::vector<std::int64_t> strides(numFactors * numIndices, 0);
+  const auto addStride = [&](std::size_t globalDim, std::size_t k) {
+    const auto [factor, stride] = globalStride[globalDim];
+    strides[factor * numIndices + k] += stride;
+  };
+  for (std::size_t k = 0; k < numIndices; ++k) {
+    extents[k] = globalShape[indexDims[k]];
+    addStride(indexDims[k], k);
+  }
+  for (std::size_t q = 0; q < pairs.size(); ++q)
+    addStride(static_cast<std::size_t>(pairs[q].second), numFree + q);
 
   DenseTensor out = DenseTensor::zeros(outShape);
+  for (std::int64_t extent : extents)
+    if (extent <= 0)
+      return out;
 
-  std::vector<std::int64_t> globalIndex(
-      static_cast<std::size_t>(globalRank), 0);
-  poly::Box::fromShape(outShape).forEachPoint(
-      [&](std::span<const std::int64_t> freeIndex) {
-        for (std::size_t p = 0; p < freeDims.size(); ++p)
-          globalIndex[static_cast<std::size_t>(freeDims[p])] = freeIndex[p];
-        double sum = 0.0;
-        poly::Box::fromShape(redShape).forEachPoint(
-            [&](std::span<const std::int64_t> redIndex) {
-              for (std::size_t q = 0; q < pairs.size(); ++q) {
-                globalIndex[static_cast<std::size_t>(pairs[q].first)] =
-                    redIndex[q];
-                globalIndex[static_cast<std::size_t>(pairs[q].second)] =
-                    redIndex[q];
-              }
-              double term = 1.0;
-              std::size_t base = 0;
-              for (const auto& factor : factors) {
-                term *= factor.at(std::span<const std::int64_t>(
-                    globalIndex.data() + base, factor.shape.size()));
-                base += factor.shape.size();
-              }
-              sum += term;
-            });
-        out.at(freeIndex) = sum;
-      });
+  // The last pair's index is run by `run` (it stays 0 in `index`); the
+  // other indices step as row-major odometers.
+  const std::size_t outerEnd = numIndices - (pairs.empty() ? 0 : 1);
+  const std::int64_t innerExtent = pairs.empty() ? 1 : extents.back();
+  std::vector<std::int64_t> innerStride(numFactors, 0);
+  if (!pairs.empty())
+    for (std::size_t f = 0; f < numFactors; ++f)
+      innerStride[f] = strides[f * numIndices + numIndices - 1];
+  std::vector<const double*> data(numFactors);
+  for (std::size_t f = 0; f < numFactors; ++f)
+    data[f] = factors[f].data.data();
+
+  std::vector<std::int64_t> index(numIndices, 0);
+  // Each factor's offset over index[first, last), added to `from`.
+  const auto offsetsOf = [&](std::size_t first, std::size_t last,
+                              const std::vector<std::int64_t>& from,
+                              std::vector<std::int64_t>& to) {
+    for (std::size_t f = 0; f < numFactors; ++f) {
+      std::int64_t offset = from[f];
+      for (std::size_t k = first; k < last; ++k)
+        offset += strides[f * numIndices + k] * index[k];
+      to[f] = offset;
+    }
+  };
+  // Steps index[first, last) as a row-major odometer; false once it
+  // wraps back to all zeros.
+  const auto advance = [&](std::size_t first, std::size_t last) {
+    for (std::size_t k = last; k-- > first;) {
+      if (++index[k] < extents[k])
+        return true;
+      index[k] = 0;
+    }
+    return false;
+  };
+  // One run of innerExtent terms along the last pair's index.
+  const auto run = [&](double sum, const std::vector<std::int64_t>& offset) {
+    for (std::int64_t i = 0; i < innerExtent; ++i) {
+      double term = 1.0;
+      for (std::size_t f = 0; f < numFactors; ++f)
+        term *= data[f][offset[f] + i * innerStride[f]];
+      sum += term;
+    }
+    return sum;
+  };
+
+  const std::vector<std::int64_t> zero(numFactors, 0);
+  std::vector<std::int64_t> base(numFactors), offset(numFactors);
+  std::size_t element = 0;
+  do {
+    offsetsOf(0, numFree, zero, base);
+    double sum = 0.0;
+    do {
+      offsetsOf(numFree, outerEnd, base, offset);
+      sum = run(sum, offset);
+    } while (advance(numFree, outerEnd));
+    out.data[element++] = sum;
+  } while (advance(0, numFree));
   return out;
 }
 
@@ -420,9 +584,54 @@ DenseTensor makeTestInput(const std::vector<std::int64_t>& shape,
 double maxAbsDifference(const DenseTensor& a, const DenseTensor& b) {
   CFD_ASSERT(a.shape == b.shape, "shape mismatch in comparison");
   double maxDiff = 0.0;
-  for (std::size_t i = 0; i < a.data.size(); ++i)
-    maxDiff = std::max(maxDiff, std::abs(a.data[i] - b.data[i]));
+  for (std::size_t i = 0; i < a.data.size(); ++i) {
+    const double diff = std::abs(a.data[i] - b.data[i]);
+    if (std::isnan(diff))
+      return diff; // std::max(x, NaN) would return x and hide it
+    maxDiff = std::max(maxDiff, diff);
+  }
   return maxDiff;
+}
+
+bool Validation::passed() const { return relativeError <= kTolerance; }
+
+Validation validate(const dsl::Program& ast, const sched::Schedule& schedule,
+                    std::uint64_t seed) {
+  CFD_ASSERT(schedule.program != nullptr, "schedule without program");
+  const ir::Program& program = *schedule.program;
+  std::map<std::string, DenseTensor> reference;
+  TensorStore store(program, schedule.layouts);
+  for (const auto& tensor : program.tensors()) {
+    if (tensor.kind != ir::TensorKind::Input)
+      continue;
+    const DenseTensor value = makeTestInput(tensor.type.shape, seed++);
+    reference[tensor.name] = value;
+    store.import(tensor.id, value);
+  }
+  evaluateReference(ast, reference);
+  execute(schedule, store);
+  // Like std::max, but a NaN on either side wins.
+  const auto worst = [](double a, double b) {
+    return std::isnan(a) || std::isnan(b)
+               ? std::numeric_limits<double>::quiet_NaN()
+               : std::max(a, b);
+  };
+  Validation result;
+  for (const auto& tensor : program.tensors()) {
+    if (tensor.kind != ir::TensorKind::Output)
+      continue;
+    const DenseTensor& expected = reference.at(tensor.name);
+    const double error =
+        maxAbsDifference(store.exportTensor(tensor.id), expected);
+    double scale = 0.0;
+    for (double value : expected.data)
+      scale = std::max(scale, std::abs(value));
+    result.maxError = worst(result.maxError, error);
+    result.maxReference = std::max(result.maxReference, scale);
+    result.relativeError =
+        worst(result.relativeError, error / std::max(1.0, scale));
+  }
+  return result;
 }
 
 } // namespace cfd::eval

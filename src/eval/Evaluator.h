@@ -96,7 +96,34 @@ void evaluateReference(const dsl::Program& ast,
 DenseTensor makeTestInput(const std::vector<std::int64_t>& shape,
                           std::uint64_t seed);
 
-/// Max |a-b| over two dense tensors of equal shape.
+/// Max |a-b| over two dense tensors of equal shape; NaN if any |a-b| is.
 double maxAbsDifference(const DenseTensor& a, const DenseTensor& b);
+
+/// Outcome of the differential check of one schedule (DESIGN.md §5).
+/// maxError and relativeError are NaN when any output difference is.
+struct Validation {
+  /// max |interpreted - reference| over every output element.
+  double maxError = 0.0;
+  /// max |reference| over every output element.
+  double maxReference = 0.0;
+  /// The worst, over the outputs, of max|error| / max(1, max|reference|)
+  /// with both maxima taken within that output: absolute for values of
+  /// order one, relative where an output grows large (a depth-d
+  /// contraction chain grows like extent^d, and so does its rounding
+  /// error). Each output is judged on its own scale, so a small output
+  /// cannot hide its error behind a large one.
+  double relativeError = 0.0;
+
+  /// relativeError <= kTolerance (false for NaN).
+  bool passed() const;
+
+  static constexpr double kTolerance = 1e-8;
+};
+
+/// Runs `schedule` and the reference semantics of `ast` on the same
+/// inputs — makeTestInput(shape, seed), seed counting up from `seed` over
+/// the input tensors in program order — and compares every output.
+Validation validate(const dsl::Program& ast, const sched::Schedule& schedule,
+                    std::uint64_t seed = 1);
 
 } // namespace cfd::eval

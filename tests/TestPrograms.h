@@ -1,6 +1,8 @@
 // Shared CFDlang test programs.
 #pragma once
 
+#include <string>
+
 namespace cfd::test {
 
 /// The paper's Fig. 1: the Inverse Helmholtz operator at p = 11.
@@ -29,6 +31,25 @@ inline std::string inverseHelmholtzSource(int extent) {
   src += "t = S # S # S # u . [[1 6] [3 7] [5 8]]\n";
   src += "r = D * t\n";
   src += "v = S # S # S # r . [[0 6] [2 7] [4 8]]\n";
+  return src;
+}
+
+/// A chain of `depth` Helmholtz-style contractions, each feeding the
+/// next: t0 = S # S # S # u . [..], t1 = S # S # S # t0 . [..], ...,
+/// v = the last. Values grow like extent^depth.
+inline std::string chainSource(int depth, int extent) {
+  const std::string n = std::to_string(extent);
+  const std::string cube = " : [" + n + " " + n + " " + n + "]\n";
+  std::string src = "var input S : [" + n + " " + n + "]\n";
+  src += "var input u" + cube + "var output v" + cube;
+  for (int i = 0; i + 1 < depth; ++i)
+    src += "var t" + std::to_string(i) + cube;
+  std::string prev = "u";
+  for (int i = 0; i < depth; ++i) {
+    const std::string next = i + 1 < depth ? "t" + std::to_string(i) : "v";
+    src += next + " = S # S # S # " + prev + " . [[1 6] [3 7] [5 8]]\n";
+    prev = next;
+  }
   return src;
 }
 

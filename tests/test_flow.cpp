@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 namespace cfd {
 namespace {
 
@@ -42,6 +45,37 @@ TEST(FlowTest, InvalidSourceThrows) {
 TEST(FlowTest, ValidateIsDeterministicPerSeed) {
   const Flow flow = Flow::compile(test::kInverseHelmholtz);
   EXPECT_EQ(flow.validate(7), flow.validate(7));
+}
+
+TEST(FlowTest, ConcurrentValidationOfOneFlowAgrees) {
+  // A Flow is safe to read from many threads; the evaluator keeps its
+  // lowered accesses per call, so four threads validating one Flow at
+  // once must each reproduce the single-threaded results bit for bit.
+  const Flow flow = Flow::compile(test::inverseHelmholtzSource(7));
+  const double expectedError = flow.validate(3);
+  const eval::OpCounts expectedCounts =
+      flow.softwareCounts(sched::ScheduleObjective::Hardware);
+  constexpr int kThreads = 4;
+  std::vector<double> errors(kThreads);
+  std::vector<eval::OpCounts> counts(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      errors[static_cast<std::size_t>(t)] = flow.validate(3);
+      counts[static_cast<std::size_t>(t)] =
+          flow.softwareCounts(sched::ScheduleObjective::Hardware);
+    });
+  for (auto& thread : threads)
+    thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    const eval::OpCounts& c = counts[static_cast<std::size_t>(t)];
+    EXPECT_EQ(errors[static_cast<std::size_t>(t)], expectedError);
+    EXPECT_EQ(c.fmul, expectedCounts.fmul);
+    EXPECT_EQ(c.fadd, expectedCounts.fadd);
+    EXPECT_EQ(c.loads, expectedCounts.loads);
+    EXPECT_EQ(c.stores, expectedCounts.stores);
+    EXPECT_EQ(c.loopIterations, expectedCounts.loopIterations);
+  }
 }
 
 TEST(FlowTest, SoftwareCountsDifferByObjective) {

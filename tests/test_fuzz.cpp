@@ -2,7 +2,9 @@
 // CFDlang programs (entry-wise chains, products, binary and n-ary
 // contractions over random shapes), push them through the complete flow
 // under randomized options, and check the interpreted hardware schedule
-// against the direct reference semantics.
+// against the direct reference semantics. The options drawn per seed are
+// the objective, sharing, layout, optimizer level (0/1/2) and unroll
+// factor (1/2/4).
 //
 // Any bug in shape inference, contraction splitting, operand maps,
 // layout materialization, rescheduling, or sharing shows up here as a
@@ -203,6 +205,8 @@ TEST_P(FuzzPipeline, RandomProgramValidates) {
   options.layouts.defaultLayout = (rng() & 4)
                                       ? sched::LayoutKind::RowMajor
                                       : sched::LayoutKind::ColumnMajor;
+  options.optimize.level = static_cast<int>(rng() % 3);
+  options.hls.unrollFactor = 1 << (rng() % 3);
   options.system.memories = 1;
   options.system.kernels = 1;
 

@@ -156,7 +156,9 @@ Single-shot compilation:
   --layout=rowmajor|colmajor  default tensor layout (default: rowmajor)
   --simulate=Ne            simulate Ne elements on the platform model
   --validate               compare the schedule against the Eq. 1
-                           reference semantics (exit 1 above 1e-8)
+                           reference semantics (exit 1 when, for
+                           any output, max|error| / max(1,
+                           max|reference|) exceeds 1e-8 or is NaN)
   --diagnostics=json       on a compile failure, print the structured
                            diagnostics (severity, stage, line/column)
                            as JSON on stdout instead of text on stderr;
@@ -1164,9 +1166,12 @@ int runSingleShot(const CliOptions& options, cfd::Session& session,
   }
 
   if (options.validate) {
-    const double error = flow.validate();
-    std::cout << "validation max |error| = " << error << "\n";
-    if (error > 1e-8)
+    const cfd::eval::Validation check =
+        cfd::eval::validate(flow.ast(), flow.schedule());
+    std::cout << "validation max |error| = " << check.maxError
+              << ", relative error = " << check.relativeError
+              << " (max |reference| = " << check.maxReference << ")\n";
+    if (!check.passed())
       return 1;
   }
   if (options.simulateElements > 0) {

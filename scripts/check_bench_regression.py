@@ -66,19 +66,6 @@ GATES = {
         "cache.stage_hits": ("higher", None),
         "cache.hit_rate_warm": ("higher", None),
     },
-    # Distributed sweep: the byte-identity bit and the chunk count are
-    # fully deterministic (near-zero bands — any drift is a merge or
-    # sharding behavior change). The 4-vs-1-worker speedup is a
-    # wall-clock ratio across *processes*, so it only means anything
-    # when the runner has as many cores as workers; the bench binary
-    # enforces the hard >= 2x gate itself in that case, and the
-    # baseline-relative gate here just catches collapse on comparable
-    # runners (0.5 band like the other speedups).
-    "BENCH_dist_sweep.json": {
-        "identity.identical_to_local": ("higher", 0.01),
-        "dist.chunks_dispatched": ("lower", 0.01),
-        "timing.speedup": ("higher", 0.5),
-    },
     # Model-guided search: everything here is deterministic for the
     # bench's fixed seed (analytic latency model, seeded strategies), so
     # the compile counts get a near-zero band — any drift means the

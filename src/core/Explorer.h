@@ -82,8 +82,7 @@ struct ExplorerOptions {
   /// Called once per completed row with (done, total) — done counts
   /// completions in finish order, not row order. Invoked from worker
   /// threads: the callback must be thread-safe and cheap (it runs
-  /// between rows). Used by the daemon to stream sweep_chunk progress
-  /// events (DESIGN.md §16).
+  /// between rows).
   std::function<void(std::size_t, std::size_t)> onProgress;
 };
 

@@ -213,13 +213,10 @@ Expected<SweepResult> Session::sweepImpl(const SweepRequest& request,
     ++sweepRequests_;
   }
   DiagnosticList diagnostics;
-  const int explicitModes = (request.axes_.empty() ? 0 : 1) +
-                            (request.variants_.empty() ? 0 : 1) +
-                            (request.points_.empty() ? 0 : 1);
-  if (explicitModes > 1) {
+  if (!request.axes_.empty() && !request.variants_.empty()) {
     diagnostics.error({},
-                      "SweepRequest cannot combine axis(), variants(), "
-                      "and points() — pick one",
+                      "SweepRequest cannot combine axis() with explicit "
+                      "variants()",
                       "options");
     countFailure();
     return Expected<SweepResult>::failure(std::move(diagnostics));
@@ -231,29 +228,7 @@ Expected<SweepResult> Session::sweepImpl(const SweepRequest& request,
 
   SweepResult result;
   std::vector<FlowOptions> variants;
-  if (!request.points_.empty()) {
-    // Explicit labelled points (the distributed coordinator's chunk
-    // shape): params apply over the base exactly like an axis
-    // assignment, so the compiled FlowOptions match the local cross
-    // product point for point.
-    const FlowOptions base = baseOptionsFor(request.options_);
-    variants.reserve(request.points_.size());
-    result.labels.reserve(request.points_.size());
-    for (const SweepPoint& point : request.points_) {
-      FlowOptions options = base;
-      for (const auto& [key, value] : point.params) {
-        try {
-          applyTuneParam(options, key, value);
-        } catch (const FlowError& e) {
-          diagnostics.error({}, e.what(), "options");
-          countFailure();
-          return Expected<SweepResult>::failure(std::move(diagnostics));
-        }
-      }
-      variants.push_back(std::move(options));
-      result.labels.push_back(point.label);
-    }
-  } else if (!request.variants_.empty()) {
+  if (!request.variants_.empty()) {
     variants = request.variants_;
     result.labels.reserve(variants.size());
     for (std::size_t i = 0; i < variants.size(); ++i)

@@ -147,16 +147,6 @@ private:
 
 /// A design-space sweep request: explicit option variants, declared
 /// axes (cross product, cfdc --sweep style), or both base and axes.
-/// One explicit, pre-labelled design point of a sweep: named option
-/// overrides applied in order over the base options. The distributed
-/// coordinator (dist/Coordinator.h) ships points like these to worker
-/// daemons so every process derives identical FlowOptions and labels
-/// (DESIGN.md §16).
-struct SweepPoint {
-  std::string label;
-  std::vector<std::pair<std::string, std::string>> params;
-};
-
 class SweepRequest {
 public:
   explicit SweepRequest(std::string source) : source_(std::move(source)) {}
@@ -174,15 +164,6 @@ public:
   /// Explicit variants (used as-is; mutually exclusive with axis()).
   SweepRequest& variants(std::vector<FlowOptions> variants) {
     variants_ = std::move(variants);
-    return *this;
-  }
-  /// Explicit labelled points: each point's params apply over the base
-  /// options exactly like one axis assignment (applyTuneParam order),
-  /// so a sweep over points shipped by the distributed coordinator
-  /// compiles the same FlowOptions as the local cross product. Mutually
-  /// exclusive with axis() and variants().
-  SweepRequest& points(std::vector<SweepPoint> points) {
-    points_ = std::move(points);
     return *this;
   }
   /// Thread-safe per-row completion callback, (done, total); forwarded
@@ -215,7 +196,6 @@ private:
   std::optional<FlowOptions> options_;
   std::vector<TuneAxis> axes_;
   std::vector<FlowOptions> variants_;
-  std::vector<SweepPoint> points_;
   std::function<void(std::size_t, std::size_t)> onProgress_;
   std::int64_t simulateElements_ = 0;
   sim::TransferStrategy transferStrategy_ = sim::TransferStrategy::Blocking;

@@ -102,29 +102,12 @@ Expected<Response> Client::receive(std::int64_t id) {
     Expected<Response> parsed = Response::parse(line);
     if (!parsed)
       return parsed; // a daemon we cannot understand is fatal
-    if (!parsed->event.empty())
-      continue; // progress events never resolve a receive()
     // id 0 marks a protocol error for a request whose id the daemon
     // could not read — it can only belong to the request we just sent.
     if (parsed->id == id || parsed->id == 0)
       return parsed;
     stash_.push_back(std::move(*parsed));
   }
-}
-
-Expected<Response> Client::receiveAny() {
-  if (fd_ < 0)
-    return Expected<Response>::failure("client is not connected", "serve");
-  if (!stash_.empty()) {
-    Response response = std::move(stash_.front());
-    stash_.erase(stash_.begin());
-    return response;
-  }
-  std::string line;
-  if (!readLine(line))
-    return Expected<Response>::failure(
-        "connection closed by the daemon", "serve");
-  return Response::parse(line);
 }
 
 Expected<Response> Client::call(Request request) {

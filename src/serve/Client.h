@@ -61,26 +61,13 @@ public:
   /// Fire-and-forget send; false when the connection is down.
   bool send(const Request& request);
 
-  /// Blocks until the final response with `id` arrives (stashing other
-  /// final responses). Streamed events (Response::event) are dropped —
-  /// use receiveAny() when progress matters.
+  /// Blocks until the response with `id` arrives (stashing responses
+  /// for other ids).
   Expected<Response> receive(std::int64_t id);
 
-  /// Blocks until any message arrives — a stashed final response, a
-  /// fresh final response, or a streamed event (Response::event set).
-  /// The dist coordinator pairs this with fd() + poll(2) to watch a
-  /// worker with a deadline (DESIGN.md §16).
-  Expected<Response> receiveAny();
-
-  /// The connection's file descriptor (-1 when closed), for poll(2).
-  /// Note the read path is buffered: check hasBufferedLine() before
-  /// blocking in poll, or a complete message already received can sit
-  /// unread in buffer_/stash_ while poll waits.
-  int fd() const { return fd_; }
-
   /// True when a stashed response or a full buffered line is already
-  /// available, i.e. receiveAny() would return without touching the
-  /// socket.
+  /// available, i.e. a message arrived that no receive() has taken
+  /// yet.
   bool hasBufferedLine() const {
     return !stash_.empty() || buffer_.find('\n') != std::string::npos;
   }

@@ -1,11 +1,10 @@
 // Shared socket I/O helpers for the serve transport (DESIGN.md §15).
 //
-// Every send/recv loop in serve/Client.cpp and serve/Server.cpp (and
-// the dist/ coordinator built on them, DESIGN.md §16) funnels through
-// these two functions, so the EINTR contract lives in exactly one
-// place: a benign signal delivered mid-transfer (SIGALRM from an
-// interval timer, a stopped-and-continued process, a profiler tick)
-// restarts the call instead of tearing down a healthy connection.
+// Every send/recv loop in serve/Client.cpp and serve/Server.cpp
+// funnels through these two functions, so the EINTR contract lives in
+// exactly one place: a benign signal delivered mid-transfer (SIGALRM
+// from an interval timer, a stopped-and-continued process, a profiler
+// tick) restarts the call instead of tearing down a healthy connection.
 #pragma once
 
 #include <cstddef>

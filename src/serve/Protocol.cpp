@@ -14,9 +14,8 @@ Expected<T> protocolError(std::string message) {
 }
 
 const RequestKind kParsableKinds[] = {
-    RequestKind::Compile,    RequestKind::Sweep,  RequestKind::Tune,
-    RequestKind::SweepChunk, RequestKind::Status, RequestKind::Cancel,
-    RequestKind::Shutdown,
+    RequestKind::Compile, RequestKind::Sweep,  RequestKind::Tune,
+    RequestKind::Status,  RequestKind::Cancel, RequestKind::Shutdown,
 };
 
 std::string validKindList() {
@@ -61,7 +60,6 @@ const char* requestKindName(RequestKind kind) {
   case RequestKind::Compile: return "compile";
   case RequestKind::Sweep: return "sweep";
   case RequestKind::Tune: return "tune";
-  case RequestKind::SweepChunk: return "sweep_chunk";
   case RequestKind::Status: return "status";
   case RequestKind::Cancel: return "cancel";
   case RequestKind::Shutdown: return "shutdown";
@@ -90,17 +88,6 @@ json::Value Request::toJson() const {
       array.push(std::move(entry));
     }
     object.set("axes", std::move(array));
-  }
-  if (!points.empty()) {
-    json::Value array = json::Value::array();
-    for (const ChunkPoint& point : points) {
-      json::Value entry = json::Value::object();
-      entry.set("index", point.index);
-      entry.set("label", point.label);
-      entry.set("params", paramsToJson(point.params));
-      array.push(std::move(entry));
-    }
-    object.set("points", std::move(array));
   }
   if (kind == RequestKind::Tune) {
     if (!strategy.empty())
@@ -174,8 +161,7 @@ Expected<Request> Request::parse(const std::string& line,
     request.source = stringOr(document, "source");
     const bool needsSource = request.kind == RequestKind::Compile ||
                              request.kind == RequestKind::Sweep ||
-                             request.kind == RequestKind::Tune ||
-                             request.kind == RequestKind::SweepChunk;
+                             request.kind == RequestKind::Tune;
     if (needsSource && request.source.empty())
       return protocolError<Request>(std::string("'") +
                                     requestKindName(request.kind) +
@@ -200,22 +186,6 @@ Expected<Request> Request::parse(const std::string& line,
         request.axes.push_back(std::move(axis));
       }
     }
-    if (document.contains("points")) {
-      const json::Value& array = document.at("points");
-      for (std::size_t i = 0; i < array.size(); ++i) {
-        const json::Value& entry = array.at(i);
-        ChunkPoint point;
-        point.index = entry.at("index").asInt();
-        point.label = entry.at("label").asString();
-        if (entry.contains("params"))
-          for (const auto& [key, value] : entry.at("params").members())
-            point.params.emplace_back(key, value.asString());
-        request.points.push_back(std::move(point));
-      }
-    }
-    if (request.kind == RequestKind::SweepChunk && request.points.empty())
-      return protocolError<Request>(
-          "'sweep_chunk' request has no 'points'");
     request.strategy = stringOr(document, "strategy");
     request.seed =
         static_cast<std::uint64_t>(intOr(document, "seed", 1));
@@ -256,8 +226,6 @@ json::Value Response::toJson() const {
   object.set("ok", ok);
   if (cancelled)
     object.set("cancelled", true);
-  if (!event.empty())
-    object.set("event", event);
   if (ok)
     object.set("result", result);
   else
@@ -299,7 +267,6 @@ Expected<Response> Response::parse(const std::string& line) {
     response.ok = document.contains("ok") && document.at("ok").asBool();
     response.cancelled =
         document.contains("cancelled") && document.at("cancelled").asBool();
-    response.event = stringOr(document, "event");
     if (response.ok) {
       response.result = document.at("result");
     } else if (document.contains("diagnostics")) {

@@ -9,9 +9,8 @@
 // gets a structured "version mismatch" error instead of silent
 // misparsing.
 //
-// Requests name one of seven kinds — compile, sweep, tune,
-// sweep_chunk, status, cancel, shutdown — plus a client-chosen "id"
-// echoed on the response,
+// Requests name one of six kinds — compile, sweep, tune, status,
+// cancel, shutdown — plus a client-chosen "id" echoed on the response,
 // so one connection may keep several requests in flight and match
 // answers by id. compile/sweep/tune carry the DSL source inline (the
 // daemon has no filesystem contract with its clients) and translate to
@@ -45,15 +44,13 @@ inline constexpr int kProtocolVersion = 1;
 inline constexpr const char* kVersionKey = "cfd_serve";
 
 enum class RequestKind {
-  Compile,    ///< one compile job; optional materialized artifacts
-  Sweep,      ///< axes cross product through the session cache
-  Tune,       ///< strategy-driven search, returns the TuningReport JSON
-  SweepChunk, ///< explicit design points of a distributed sweep
-              ///< (DESIGN.md §16); streams progress events mid-job
-  Status,     ///< session + server counters and the statsReport() text
-  Cancel,     ///< cooperative cancel of an earlier request by its id
-  Shutdown,   ///< ack, then stop accepting and drain (DESIGN.md §15)
-  Invalid,    ///< response-only: the request could not be parsed
+  Compile,  ///< one compile job; optional materialized artifacts
+  Sweep,    ///< axes cross product through the session cache
+  Tune,     ///< strategy-driven search, returns the TuningReport JSON
+  Status,   ///< session + server counters and the statsReport() text
+  Cancel,   ///< cooperative cancel of an earlier request by its id
+  Shutdown, ///< ack, then stop accepting and drain (DESIGN.md §15)
+  Invalid,  ///< response-only: the request could not be parsed
 };
 
 /// Stable lower-case wire name ("compile", ..., "error" for Invalid).
@@ -66,18 +63,6 @@ struct AxisSpec {
   std::vector<std::string> values;
 
   bool operator==(const AxisSpec&) const = default;
-};
-
-/// One explicit design point of a sweep_chunk request (DESIGN.md §16):
-/// its position in the full cross product (so the coordinator can
-/// merge chunks back into design-point order), the coordinator-built
-/// human label, and the axis assignments applied over the base params.
-struct ChunkPoint {
-  std::int64_t index = 0;
-  std::string label;
-  std::vector<std::pair<std::string, std::string>> params;
-
-  bool operator==(const ChunkPoint&) const = default;
 };
 
 /// One request message. Fields beyond (kind, id) apply per kind — the
@@ -103,9 +88,6 @@ struct Request {
 
   // sweep / tune
   std::vector<AxisSpec> axes;
-
-  // sweep_chunk (DESIGN.md §16)
-  std::vector<ChunkPoint> points;
 
   // tune
   std::string strategy; ///< empty = exhaustive
@@ -143,18 +125,11 @@ struct Request {
 /// `diagnostics` (DiagnosticList JSON) on failure. `cancelled` marks
 /// failures produced by cooperative cancellation (client cancel,
 /// deadline expiry, or daemon shutdown) rather than by the compile.
-///
-/// A non-empty `event` marks a streamed mid-job event rather than the
-/// final answer for `id` — today only "progress", emitted while a
-/// sweep_chunk executes (DESIGN.md §16), with `result` carrying
-/// {done, total}. Events never resolve a Client::call/receive; read
-/// them with Client::receiveAny.
 struct Response {
   std::int64_t id = 0;
   RequestKind kind = RequestKind::Invalid;
   bool ok = false;
   bool cancelled = false;
-  std::string event;          ///< "" = final response; "progress" = event
   json::Value result;         ///< valid when ok
   DiagnosticList diagnostics; ///< non-empty when !ok
 

@@ -126,26 +126,21 @@ struct Server::PendingJob {
   std::int64_t id = 0;
   RequestKind kind = RequestKind::Compile;
   std::vector<std::string> artifacts; // compile: texts to include
-  /// sweep_chunk: the global design-point index of each sweep row, so
-  /// the response rows carry coordinates the coordinator can merge on.
-  std::vector<std::int64_t> pointIndexes;
   Job<CompileResult> compile;
-  Job<SweepResult> sweep; // also carries sweep_chunk (explicit points)
+  Job<SweepResult> sweep;
   Job<TuningReport> tune;
 
   JobState state() const {
     switch (kind) {
     case RequestKind::Compile: return compile.state();
-    case RequestKind::Sweep:
-    case RequestKind::SweepChunk: return sweep.state();
+    case RequestKind::Sweep: return sweep.state();
     default: return tune.state();
     }
   }
   bool cancel() const {
     switch (kind) {
     case RequestKind::Compile: return compile.cancel();
-    case RequestKind::Sweep:
-    case RequestKind::SweepChunk: return sweep.cancel();
+    case RequestKind::Sweep: return sweep.cancel();
     default: return tune.cancel();
     }
   }
@@ -470,11 +465,7 @@ void Server::sendResponse(Connection& connection, const Response& response) {
   std::lock_guard<std::mutex> lock(connection.writeMutex);
   if (!sendAll(connection.fd, line.data(), line.size()))
     return; // peer gone; the reader notices and cleans up
-  // Streamed events are extra messages, not answers: counting them as
-  // responses would break the requestsReceived == responsesSent
-  // steady-state invariant the status report exposes.
-  bumpStat(response.event.empty() ? &Stats::responsesSent
-                                  : &Stats::progressEvents);
+  bumpStat(&Stats::responsesSent);
 }
 
 void Server::handleLine(Connection& connection, const std::string& line) {
@@ -587,44 +578,6 @@ void Server::handleLine(Connection& connection, const std::string& line) {
       pending.sweep = session_.submitSweep(std::move(sweep), config);
       break;
     }
-    case RequestKind::SweepChunk: {
-      Expected<FlowOptions> base =
-          resolveBaseOptions(session_, request.params);
-      if (!base) {
-        sendResponse(connection, errorResponse(request.id, request.kind,
-                                               base.diagnostics()));
-        return;
-      }
-      SweepRequest sweep(request.source);
-      sweep.options(std::move(*base));
-      std::vector<SweepPoint> points;
-      points.reserve(request.points.size());
-      for (const ChunkPoint& point : request.points) {
-        pending.pointIndexes.push_back(point.index);
-        points.push_back(SweepPoint{point.label, point.params});
-      }
-      sweep.points(std::move(points));
-      // Stream one progress event per completed point so the
-      // coordinator can tell a slow chunk from a dead worker
-      // (DESIGN.md §16). Safe to capture the connection by pointer:
-      // every callback returns before the sweep job resolves, and the
-      // connection outlives its last pending response.
-      sweep.onProgress([this, connection = &connection,
-                        id = request.id](std::size_t done,
-                                         std::size_t total) {
-        Response event;
-        event.id = id;
-        event.kind = RequestKind::SweepChunk;
-        event.ok = true;
-        event.event = "progress";
-        event.result = json::Value::object();
-        event.result.set("done", done);
-        event.result.set("total", total);
-        sendResponse(*connection, event);
-      });
-      pending.sweep = session_.submitSweep(std::move(sweep), config);
-      break;
-    }
     case RequestKind::Tune: {
       Expected<FlowOptions> base =
           resolveBaseOptions(session_, request.params);
@@ -718,38 +671,6 @@ Response Server::buildResponse(const PendingJob& pending) {
     response.result.set("wall_ms", result->exploration.wallMillis);
     break;
   }
-  case RequestKind::SweepChunk: {
-    const Expected<SweepResult>& result = pending.sweep.wait();
-    if (!result.ok())
-      return errorResponse(pending.id, pending.kind, result.diagnostics(),
-                           pending.sweep.state() == JobState::Cancelled);
-    response.ok = true;
-    response.result = json::Value::object();
-    // Only deterministic row members go on the wire: the coordinator
-    // merges chunks into a report that must be byte-identical to a
-    // single-process sweep, so run-dependent fields (cache_hit,
-    // compile_ms) stay out.
-    json::Value rows = json::Value::array();
-    for (std::size_t i = 0; i < result->rows().size(); ++i) {
-      const ExplorationRow& row = result->rows()[i];
-      json::Value entry = json::Value::object();
-      entry.set("index", pending.pointIndexes[i]);
-      entry.set("label", result->labels[i]);
-      entry.set("feasible", row.ok());
-      if (!row.ok()) {
-        entry.set("error", row.error);
-      } else {
-        entry.set("m", row.flow->systemDesign().m);
-        entry.set("k", row.flow->systemDesign().k);
-        entry.set("bram_per_plm", row.flow->systemDesign().plmBram36PerUnit);
-        entry.set("kernel_us", row.flow->kernelReport().timeUs());
-      }
-      rows.push(std::move(entry));
-    }
-    response.result.set("rows", std::move(rows));
-    response.result.set("points", result->rows().size());
-    break;
-  }
   default: { // Tune
     const Expected<TuningReport>& result = pending.tune.wait();
     if (!result.ok())
@@ -775,7 +696,6 @@ Response Server::statusResponse(std::int64_t id) const {
   serverStats.set("connections_accepted", server.connectionsAccepted);
   serverStats.set("requests_received", server.requestsReceived);
   serverStats.set("responses_sent", server.responsesSent);
-  serverStats.set("progress_events", server.progressEvents);
   serverStats.set("protocol_errors", server.protocolErrors);
   serverStats.set("cancelled_on_disconnect", server.cancelledOnDisconnect);
   serverStats.set("cancelled_on_shutdown", server.cancelledOnShutdown);

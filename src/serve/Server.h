@@ -88,7 +88,6 @@ public:
     std::int64_t connectionsClosed = 0;
     std::int64_t requestsReceived = 0;
     std::int64_t responsesSent = 0;
-    std::int64_t progressEvents = 0;       ///< streamed mid-job events
     std::int64_t protocolErrors = 0;       ///< unparseable requests
     std::int64_t cancelledOnDisconnect = 0;///< jobs cancelled by EOF
     std::int64_t cancelledOnShutdown = 0;  ///< queued jobs cut at drain

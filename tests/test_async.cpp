@@ -28,9 +28,11 @@ public:
       : gate_(release_.get_future().share()) {
     for (int i = 0; i < workers; ++i)
       session.workerPool().post(
-          [this] {
+          // The task waits on its own copy of the gate: the blocker
+          // may be destroyed as soon as release() wakes it.
+          [this, gate = gate_] {
             ++running_;
-            gate_.wait();
+            gate.wait();
           },
           WorkerPool::kPriorityHigh);
     while (running_.load() < workers)

@@ -1,5 +1,6 @@
 // The cfdc command line, driven as a user runs it: `cfdc --validate`
-// judges the schedule by its error relative to the output scale.
+// judges the schedule by its error relative to the output scale, and
+// `cfdc --sweep --emit=json` writes the same report bytes at any --jobs.
 #include "core/Flow.h"
 #include "eval/Evaluator.h"
 #include "TestPrograms.h"
@@ -132,6 +133,73 @@ TEST(CfdcValidate, EachOutputIsJudgedOnItsOwnScale) {
   EXPECT_GT(check.maxError, 0.5);
   EXPECT_LT(check.maxError / check.maxReference, eval::Validation::kTolerance);
   EXPECT_FALSE(check.passed()) << check.relativeError;
+}
+
+/// `cfd-sweep-v1` for unroll={1,2} x m={2,64} on the Inverse Helmholtz
+/// kernel: two feasible rows, two m=64 rows refused by Eq. 3, and a
+/// Pareto frontier (kernel_us vs m * bram_per_plm) of both feasible rows.
+constexpr const char* kSweepReportGolden = R"({
+  "schema": "cfd-sweep-v1",
+  "points": 4,
+  "rows": [
+    {
+      "index": 0,
+      "label": "unroll=1 m=2",
+      "feasible": true,
+      "m": 2,
+      "k": 2,
+      "bram_per_plm": 16,
+      "kernel_us": 486.445
+    },
+    {
+      "index": 1,
+      "label": "unroll=1 m=64",
+      "feasible": false,
+      "error": "requested system violates Eq. 3: needs 295,820 LUT, 200,728 FF, 960 DSP, 1024 BRAM36"
+    },
+    {
+      "index": 2,
+      "label": "unroll=2 m=2",
+      "feasible": true,
+      "m": 2,
+      "k": 2,
+      "bram_per_plm": 22,
+      "kernel_us": 243.57
+    },
+    {
+      "index": 3,
+      "label": "unroll=2 m=64",
+      "feasible": false,
+      "error": "requested system violates Eq. 3: needs 409,612 LUT, 353,432 FF, 1856 DSP, 1408 BRAM36"
+    }
+  ],
+  "frontier": [
+    "unroll=1 m=2",
+    "unroll=2 m=2"
+  ]
+}
+)";
+
+TEST(CfdcSweep, JsonReportIsGoldenAtAnyJobCount) {
+  for (const char* jobs : {"--jobs=1", "--jobs=4"}) {
+    const CliRun run =
+        runCfdc(std::string("--sweep=unroll=1,2 --sweep=m=2,64 --emit=json ") +
+                    jobs,
+                test::kInverseHelmholtz);
+    EXPECT_EQ(run.exitCode, 0) << jobs;
+    EXPECT_EQ(run.out, kSweepReportGolden) << jobs;
+  }
+}
+
+TEST(CfdcSweep, MultiProcessOptionsAreUnknown) {
+  // Sweeps run in one process; the old worker-process options are
+  // refused as unknown (exit 2) rather than silently ignored.
+  for (const char* flag : {"--distribute=2", "--workers=a.sock"}) {
+    const CliRun run = runCfdc(std::string("--sweep=unroll=1,2 ") + flag,
+                               test::kInverseHelmholtz);
+    EXPECT_EQ(run.exitCode, 2) << flag;
+    EXPECT_EQ(run.out, "") << flag;
+  }
 }
 
 } // namespace

@@ -2,9 +2,9 @@
 // for every request kind plus the malformed-request and
 // version-mismatch error shapes, concurrent clients sharing one
 // Session's caches through a live server, disconnect- and
-// shutdown-driven cancellation, stale-socket replacement, and daemon
-// restart warmth through a shared --cache-dir. The TSan CI job runs
-// this suite alongside test_async.
+// shutdown-driven cancellation, stale-socket replacement, daemon
+// restart warmth through a shared --cache-dir, and a client flood under
+// an EINTR storm. The TSan CI job runs this suite alongside test_async.
 #include "serve/Client.h"
 #include "serve/Server.h"
 #include "TestPrograms.h"
@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <future>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -83,46 +85,6 @@ TEST(ServeProtocolGolden, SweepRequestWire) {
             R"({"cfd_serve":1,"id":2,"kind":"sweep","source":"v = u\n",)"
             R"("axes":[{"key":"unroll","values":["1","2"]},)"
             R"({"key":"opt","values":["0","1"]}]})");
-}
-
-TEST(ServeProtocolGolden, SweepChunkRequestWire) {
-  Request request;
-  request.kind = RequestKind::SweepChunk;
-  request.id = 11;
-  request.source = "v = u\n";
-  request.params = {{"opt", "2"}};
-  request.points = {{4, "unroll=1 m=2", {{"unroll", "1"}, {"m", "2"}}},
-                    {5, "unroll=1 m=4", {{"unroll", "1"}, {"m", "4"}}}};
-  EXPECT_EQ(
-      request.encode(),
-      R"({"cfd_serve":1,"id":11,"kind":"sweep_chunk","source":"v = u\n",)"
-      R"("params":{"opt":"2"},)"
-      R"("points":[{"index":4,"label":"unroll=1 m=2",)"
-      R"("params":{"unroll":"1","m":"2"}},)"
-      R"({"index":5,"label":"unroll=1 m=4",)"
-      R"("params":{"unroll":"1","m":"4"}}]})");
-  // And it round-trips: chunk points survive parse exactly.
-  const Expected<Request> parsed = Request::parse(request.encode());
-  ASSERT_TRUE(parsed.ok()) << parsed.errorText();
-  EXPECT_EQ(*parsed, request);
-}
-
-TEST(ServeProtocolGolden, ProgressEventWire) {
-  Response event;
-  event.id = 11;
-  event.kind = RequestKind::SweepChunk;
-  event.ok = true;
-  event.event = "progress";
-  event.result = json::Value::object();
-  event.result.set("done", std::int64_t{3});
-  event.result.set("total", std::int64_t{8});
-  EXPECT_EQ(event.encode(),
-            R"({"cfd_serve":1,"id":11,"kind":"sweep_chunk","ok":true,)"
-            R"("event":"progress","result":{"done":3,"total":8}})");
-  const Expected<Response> parsed = Response::parse(event.encode());
-  ASSERT_TRUE(parsed.ok()) << parsed.errorText();
-  EXPECT_EQ(parsed->event, "progress");
-  EXPECT_EQ(parsed->result.at("done").asInt(), 3);
 }
 
 TEST(ServeProtocolGolden, TuneRequestWireSerializesNonDefaultsOnly) {
@@ -245,7 +207,7 @@ TEST(ServeProtocolGolden, MalformedAndMismatchedRequestsPinnedErrors) {
             "speaks v1");
   EXPECT_EQ(parseError(R"({"cfd_serve":1,"id":1,"kind":"frobnicate"})"),
             "unknown request kind 'frobnicate' (valid: compile, sweep, "
-            "tune, sweep_chunk, status, cancel, shutdown)");
+            "tune, status, cancel, shutdown)");
   EXPECT_EQ(parseError(R"({"cfd_serve":1,"kind":"status"})"),
             "request needs a positive 'id' to address the response");
   EXPECT_EQ(parseError(R"({"cfd_serve":1,"id":1,"kind":"compile"})"),
@@ -254,7 +216,8 @@ TEST(ServeProtocolGolden, MalformedAndMismatchedRequestsPinnedErrors) {
             "'cancel' request has no 'target' request id");
   EXPECT_EQ(parseError(R"({"cfd_serve":1,"id":1,"kind":"sweep_chunk",)"
                        R"("source":"v = u"})"),
-            "'sweep_chunk' request has no 'points'");
+            "unknown request kind 'sweep_chunk' (valid: compile, sweep, "
+            "tune, status, cancel, shutdown)");
   EXPECT_EQ(parseError(R"({"cfd_serve":1,"id":1,"kind":"compile",)"
                        R"("source":"v = u","priority":"urgent"})"),
             "unknown priority 'urgent' (valid: low, normal, high)");
@@ -281,9 +244,11 @@ public:
       : gate_(release_.get_future().share()) {
     for (int i = 0; i < workers; ++i)
       session.workerPool().post(
-          [this] {
+          // The task waits on its own copy of the gate: the blocker
+          // may be destroyed as soon as release() wakes it.
+          [this, gate = gate_] {
             ++running_;
-            gate_.wait();
+            gate.wait();
           },
           WorkerPool::kPriorityHigh);
     while (running_.load() < workers)
@@ -573,61 +538,82 @@ TEST_F(ServeTest, ReadLineSurfacesUnterminatedTailAtEof) {
   EXPECT_EQ(received->id, 1);
   EXPECT_TRUE(received->ok);
   // The tail is surfaced exactly once; the next read reports the EOF.
-  const Expected<Response> eof = client->receiveAny();
+  const Expected<Response> eof = client->receive(2);
   EXPECT_FALSE(eof.ok());
   peer.join();
   ::close(listener);
 }
 
-TEST_F(ServeTest, SweepChunkStreamsProgressAndMatchesLocalRows) {
-  Session session(SessionOptions{.workers = 2});
+TEST_F(ServeTest, RetiredSweepChunkKindIsRefusedAndTheConnectionStaysUp) {
+  // A sweep_chunk line, as a multi-process sweep coordinator built
+  // against an older daemon sends it, gets exactly one error response;
+  // the same connection then compiles normally.
+  Session session(SessionOptions{.workers = 1});
   Server server(session, {.socketPath = socketPath_});
   ASSERT_TRUE(server.start().ok());
-  Expected<Client> client = Client::connect(socketPath_);
-  ASSERT_TRUE(client.ok()) << client.errorText();
 
-  Request request;
-  request.kind = RequestKind::SweepChunk;
-  request.id = client->nextId();
-  request.source = test::kInverseHelmholtz;
-  request.points = {{0, "unroll=1", {{"unroll", "1"}}},
-                    {1, "unroll=2", {{"unroll", "2"}}},
-                    {2, "unroll=4", {{"unroll", "4"}}}};
-  ASSERT_TRUE(client->send(request));
-
-  // Events stream before the final response on the same connection;
-  // the final result rows arrive in point order with only the
-  // deterministic fields.
-  int progressEvents = 0;
-  Expected<Response> final = Expected<Response>::failure("none", "test");
-  for (;;) {
-    Expected<Response> message = client->receiveAny();
-    ASSERT_TRUE(message.ok()) << message.errorText();
-    if (message->event == "progress") {
-      ++progressEvents;
-      EXPECT_EQ(message->result.at("total").asInt(), 3);
-      continue;
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  std::memcpy(address.sun_path, socketPath_.c_str(),
+              socketPath_.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                      sizeof(address)),
+            0);
+  const auto sendLine = [fd](const std::string& line) {
+    const std::string wire = line + "\n";
+    return ::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(wire.size());
+  };
+  std::string received;
+  const auto readLine = [fd, &received](std::string& line) {
+    char chunk[4096];
+    while (received.find('\n') == std::string::npos) {
+      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (n <= 0)
+        return false;
+      received.append(chunk, static_cast<std::size_t>(n));
     }
-    final = std::move(message);
-    break;
-  }
-  ASSERT_TRUE(final->ok) << final->encode();
-  EXPECT_EQ(progressEvents, 3); // one per design point
-  const json::Value& rows = final->result.at("rows");
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows.at(0).at("label").asString(), "unroll=1");
-  EXPECT_EQ(rows.at(1).at("index").asInt(), 1);
-  EXPECT_TRUE(rows.at(2).at("feasible").asBool());
-  EXPECT_TRUE(rows.at(0).contains("kernel_us"));
-  EXPECT_FALSE(rows.at(0).contains("cache_hit")); // run-dependent: banned
+    line = received.substr(0, received.find('\n'));
+    received.erase(0, line.size() + 1);
+    return true;
+  };
 
-  // Events are not responses: the one-response-per-request invariant
-  // holds, with events counted separately.
+  ASSERT_TRUE(sendLine(
+      R"({"cfd_serve":1,"id":1,"kind":"sweep_chunk","source":"v = u\n",)"
+      R"("points":[{"index":0,"label":"unroll=1","params":{"unroll":"1"}}]})"));
+  std::string line;
+  ASSERT_TRUE(readLine(line));
+  const Expected<Response> refused = Response::parse(line);
+  ASSERT_TRUE(refused.ok()) << refused.errorText();
+  EXPECT_EQ(refused->id, 1);
+  EXPECT_EQ(refused->kind, RequestKind::Invalid);
+  EXPECT_FALSE(refused->ok);
+  ASSERT_EQ(refused->diagnostics.size(), 1u);
+  EXPECT_EQ(refused->diagnostics.all()[0].message,
+            "unknown request kind 'sweep_chunk' (valid: compile, sweep, "
+            "tune, status, cancel, shutdown)");
+
+  Request compile = compileRequest(test::kInverseHelmholtz);
+  compile.id = 2;
+  ASSERT_TRUE(sendLine(compile.encode()));
+  // The very next message answers the compile: nothing else was sent
+  // for the refused request.
+  ASSERT_TRUE(readLine(line));
+  const Expected<Response> compiled = Response::parse(line);
+  ASSERT_TRUE(compiled.ok()) << compiled.errorText();
+  EXPECT_EQ(compiled->id, 2);
+  EXPECT_EQ(compiled->kind, RequestKind::Compile);
+  EXPECT_TRUE(compiled->ok) << line;
+  ::close(fd);
+
   server.requestStop();
   server.join();
   const Server::Stats stats = server.stats();
+  EXPECT_EQ(stats.requestsReceived, 2);
   EXPECT_EQ(stats.requestsReceived, stats.responsesSent);
-  EXPECT_EQ(stats.progressEvents, 3);
+  EXPECT_EQ(stats.protocolErrors, 1);
 }
 
 TEST_F(ServeTest, StaleSocketIsReplacedButALiveDaemonIsNot) {
@@ -711,6 +697,68 @@ TEST_F(ServeTest, RestartedDaemonReusesTheCacheDirOnDisk) {
             0);
   server.requestStop();
   server.join();
+}
+
+// ---------------------------------------------------------------------
+// EINTR storm: a ~1 ms interval timer with a no-op, no-SA_RESTART
+// SIGALRM handler makes every blocking send/recv in the process fail
+// with EINTR constantly — on the in-process server's threads and the
+// flooding clients alike. The retrying I/O loops (serve/Io.h) must
+// make all of it invisible.
+// ---------------------------------------------------------------------
+
+extern "C" void onAlarmNoop(int) {}
+
+TEST_F(ServeTest, EintrStormDoesNotDropAnyFloodResponses) {
+  struct sigaction action{};
+  action.sa_handler = onAlarmNoop; // deliberately NOT SA_RESTART
+  ASSERT_EQ(::sigaction(SIGALRM, &action, nullptr), 0);
+  itimerval storm{};
+  storm.it_interval.tv_usec = 1000;
+  storm.it_value.tv_usec = 1000;
+  ASSERT_EQ(::setitimer(ITIMER_REAL, &storm, nullptr), 0);
+
+  {
+    Session session(SessionOptions{.workers = 2});
+    serve::Server server(session, {.socketPath = root_ + "/d.sock"});
+    ASSERT_TRUE(server.start().ok());
+
+    constexpr int kClients = 8;
+    constexpr int kCallsPerClient = 5;
+    std::atomic<int> okCount{0};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kClients; ++i)
+      threads.emplace_back([&, i] {
+        Expected<serve::Client> client =
+            serve::Client::connect(root_ + "/d.sock");
+        ASSERT_TRUE(client.ok()) << client.errorText();
+        for (int call = 0; call < kCallsPerClient; ++call) {
+          serve::Request request;
+          request.kind = serve::RequestKind::Compile;
+          request.source = test::kInverseHelmholtz;
+          request.params = {{"unroll", std::to_string(1 << (i % 4))}};
+          const Expected<serve::Response> response =
+              client->call(std::move(request));
+          ASSERT_TRUE(response.ok()) << response.errorText();
+          ASSERT_TRUE(response->ok) << response->encode();
+          ++okCount;
+        }
+      });
+    for (std::thread& thread : threads)
+      thread.join();
+    EXPECT_EQ(okCount.load(), kClients * kCallsPerClient);
+
+    server.requestStop();
+    server.join();
+    const serve::Server::Stats stats = server.stats();
+    EXPECT_EQ(stats.requestsReceived, stats.responsesSent);
+    EXPECT_EQ(stats.requestsReceived, kClients * kCallsPerClient);
+    EXPECT_EQ(stats.protocolErrors, 0);
+  }
+
+  itimerval off{};
+  ASSERT_EQ(::setitimer(ITIMER_REAL, &off, nullptr), 0);
+  ::signal(SIGALRM, SIG_DFL);
 }
 
 } // namespace

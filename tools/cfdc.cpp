@@ -39,9 +39,8 @@
 // "job-queue" diagnostic reported the same way.
 //
 // Run `cfdc --help` for the full flag reference.
+#include "core/Pareto.h"
 #include "core/Session.h"
-#include "dist/Coordinator.h"
-#include "dist/WorkerPoolSpawner.h"
 #include "serve/Client.h"
 #include "serve/Server.h"
 #include "support/Error.h"
@@ -55,12 +54,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 namespace {
 
@@ -117,10 +113,6 @@ struct CliOptions {
   bool statusRequest = false;
   bool shutdownRequest = false;
   std::string priority;
-  // Distributed sweeps (DESIGN.md §16).
-  bool distributeExplicit = false;
-  int distribute = 0;
-  std::vector<std::string> workerSockets;
   /// Option flags re-recorded as tune params (unroll, m, k, ...), so
   /// --connect can forward them over the wire instead of resolving
   /// them locally.
@@ -249,27 +241,13 @@ Compile daemon (DESIGN.md §15):
                            (requires --connect; default normal);
                            --deadline-ms also applies to --connect
 
-Distributed sweeps (DESIGN.md §16):
-  --distribute=N           shard the --sweep cross product across N
-                           freshly spawned local worker daemons (this
-                           binary with --serve) and merge the results —
-                           byte-identical to the single-process sweep.
-                           --jobs=N sets each worker's session threads
-                           (default 1); --deadline-ms becomes the
-                           per-chunk straggler deadline
-  --workers=S1,S2,...      like --distribute, but dispatch to already
-                           running daemons on these sockets instead of
-                           spawning any (mutually exclusive with
-                           --distribute; worker sessions must run
-                           default options for identical results)
-
 With --tune, --emit=json prints the JSON report (DESIGN.md §8) on
 stdout and -o writes it to a file; --simulate=Ne makes the latency
 objective include AXI transfer costs. With --sweep, --emit=json prints
-the canonical sweep report ({schema, points, rows, frontier}) instead
-of the table — the byte-identity surface distributed runs are diffed
-against — and excludes --simulate/--explain-cache/--async-jobs, whose
-columns the report deliberately omits.
+the canonical sweep report ({schema, points, rows, frontier}; the same
+bytes at any --jobs) instead of the table, and excludes --simulate/
+--explain-cache/--async-jobs, whose columns the report deliberately
+omits.
 
 Exit codes: 0 success; 1 I/O or validation failure; 2 usage error;
 3 compile diagnostics (malformed DSL, infeasible constraints; also a
@@ -503,16 +481,6 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
       if (value != "low" && value != "normal" && value != "high")
         usage("--priority expects low|normal|high (got '" + value + "')");
       options.priority = value;
-    } else if (consumeValue(arg, "--distribute=", value)) {
-      options.distribute = parseInt(value, "--distribute");
-      if (options.distribute <= 0)
-        usage("--distribute expects a positive worker count (got '" + value +
-              "')");
-      options.distributeExplicit = true;
-    } else if (consumeValue(arg, "--workers=", value)) {
-      options.workerSockets = splitCsv(value);
-      if (options.workerSockets.empty())
-        usage("--workers expects a comma-separated socket list");
     } else if (arg == "--validate") {
       options.validate = true;
     } else if (consumeValue(arg, "--diagnostics=", value)) {
@@ -559,9 +527,6 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
         !options.priority.empty())
       usage("--status/--shutdown/--priority are client flags and require "
             "--connect=PATH");
-    if (options.distributeExplicit || !options.workerSockets.empty())
-      usage("--serve cannot be combined with --distribute/--workers (a "
-            "daemon is a worker; the coordinator is a separate process)");
     return options;
   }
   if (!options.socketPath.empty())
@@ -595,10 +560,6 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
             "and cannot be combined with --connect");
     if (options.emitExplicit && options.emit == "json")
       usage("--emit=json requires --tune or --sweep");
-    if (options.distributeExplicit || !options.workerSockets.empty())
-      usage("--connect submits one compile to one daemon; distributed "
-            "sweeps coordinate their own connections (--distribute or "
-            "--workers without --connect)");
     return options;
   }
   if (options.statusRequest)
@@ -611,39 +572,6 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
 
   if (options.inputPath.empty())
     usage("no input file");
-
-  // Distributed sweeps (DESIGN.md §16): one coordinator, N worker
-  // daemons. Every flag that configures the in-process session or its
-  // output columns is meaningless here — refuse, never ignore.
-  const bool distMode =
-      options.distributeExplicit || !options.workerSockets.empty();
-  if (distMode) {
-    if (options.distributeExplicit && !options.workerSockets.empty())
-      usage("--distribute and --workers are mutually exclusive (spawn "
-            "fresh workers or use running ones, not both)");
-    if (options.sweeps.empty())
-      usage("--distribute/--workers require --sweep axes (they shard a "
-            "sweep's design points)");
-    if (options.tune)
-      usage("--distribute/--workers cannot be combined with --tune "
-            "(only sweeps shard into independent points)");
-    if (options.asyncJobsExplicit)
-      usage("--distribute/--workers schedule across processes; "
-            "--async-jobs schedules inside one session — pick one");
-    if (options.validate || options.simulateElements > 0 ||
-        options.explainCache)
-      usage("--validate/--simulate/--explain-cache need the flows "
-            "in-process and cannot be combined with --distribute/--workers");
-    if (!options.cacheDir.empty() || options.stageCacheMbExplicit)
-      usage("--cache-dir/--stage-cache-mb configure a worker's session; "
-            "set them on the daemons (--serve), not on the coordinator");
-    if (options.jobsExplicit && !options.workerSockets.empty())
-      usage("--jobs sizes the workers --distribute spawns; daemons given "
-            "via --workers own their pools already");
-    if (options.emitExplicit && options.emit != "json")
-      usage("--distribute/--workers print a table or --emit=json (got "
-            "--emit=" + options.emit + ")");
-  }
 
   // Refuse flag combinations that would otherwise be silently ignored.
   if (options.tune) {
@@ -722,10 +650,8 @@ CliOptions parseArgs(const std::vector<std::string>& args) {
   if (options.jobsExplicit && options.asyncJobsExplicit)
     usage("--jobs and --async-jobs are mutually exclusive (both size the "
           "worker pool)");
-  if (options.deadlineMsExplicit && !options.asyncJobsExplicit && !distMode)
-    usage("--deadline-ms requires --async-jobs, --connect, or a "
-          "distributed sweep (it is the per-chunk straggler deadline "
-          "with --distribute/--workers)");
+  if (options.deadlineMsExplicit && !options.asyncJobsExplicit)
+    usage("--deadline-ms requires --async-jobs or --connect");
   return options;
 }
 
@@ -808,12 +734,49 @@ void printSweepRowBody(const CliOptions& options, const cfd::Flow& flow,
   std::cout << "\n";
 }
 
-/// Writes the canonical sweep report (--emit=json) to -o or stdout;
-/// nothing else may touch stdout on this path — the bytes are diffed
-/// against distributed runs.
+/// Writes the canonical sweep report (--emit=json, DESIGN.md §8) to -o
+/// or stdout: {schema, points, rows, frontier} with run-independent
+/// fields only, so the bytes are the same at any --jobs. The frontier
+/// holds the Pareto-minimal feasible rows over (kernel_us, m *
+/// bram_per_plm) — latency versus total PLM BRAM, the trade-off the
+/// paper sweeps. Nothing else may touch stdout on this path.
 int writeSweepReport(const CliOptions& options,
-                     const cfd::dist::DistSweepResult& result) {
-  const std::string text = result.reportText();
+                     const cfd::SweepResult& sweep) {
+  cfd::json::Value rows = cfd::json::Value::array();
+  std::vector<std::size_t> feasible;
+  std::vector<std::vector<double>> objectives;
+  for (std::size_t i = 0; i < sweep.rows().size(); ++i) {
+    const cfd::ExplorationRow& row = sweep.rows()[i];
+    cfd::json::Value entry = cfd::json::Value::object();
+    entry.set("index", static_cast<std::int64_t>(i));
+    entry.set("label", sweep.labels[i]);
+    entry.set("feasible", row.ok());
+    if (!row.ok()) {
+      entry.set("error", row.error);
+    } else {
+      const auto& design = row.flow->systemDesign();
+      const std::int64_t m = design.m;
+      const std::int64_t bramPerPlm = design.plmBram36PerUnit;
+      const double kernelUs = row.flow->kernelReport().timeUs();
+      entry.set("m", m);
+      entry.set("k", static_cast<std::int64_t>(design.k));
+      entry.set("bram_per_plm", bramPerPlm);
+      entry.set("kernel_us", kernelUs);
+      feasible.push_back(i);
+      objectives.push_back({kernelUs, static_cast<double>(m * bramPerPlm)});
+    }
+    rows.push(std::move(entry));
+  }
+  cfd::json::Value frontier = cfd::json::Value::array();
+  for (std::size_t j : cfd::paretoFrontier(objectives))
+    frontier.push(sweep.labels[feasible[j]]);
+
+  cfd::json::Value report = cfd::json::Value::object();
+  report.set("schema", "cfd-sweep-v1");
+  report.set("points", static_cast<std::int64_t>(sweep.rows().size()));
+  report.set("rows", std::move(rows));
+  report.set("frontier", std::move(frontier));
+  const std::string text = report.dump(2) + "\n";
   if (options.outputPath.empty()) {
     std::cout << text;
     return 0;
@@ -850,8 +813,7 @@ int runSweep(const CliOptions& options, cfd::Session& session,
     return 2;
   }
   if (options.emitExplicit && options.emit == "json")
-    return writeSweepReport(
-        options, cfd::dist::SweepCoordinator::fromSweepResult(*swept));
+    return writeSweepReport(options, *swept);
   const cfd::ExplorationResult& result = swept->exploration;
   const std::vector<std::string>& labels = swept->labels;
 
@@ -1301,102 +1263,6 @@ int runConnect(const CliOptions& options, const std::string& source) {
   return 0;
 }
 
-/// --distribute=N / --workers=...: run the sweep through the dist
-/// coordinator (DESIGN.md §16). Called before any Session exists —
-/// spawning forks worker processes, and fork() must not happen in a
-/// process that already started pool threads.
-int runDistribute(const CliOptions& options, const std::string& source) {
-  using cfd::formatFixed;
-  using cfd::padLeft;
-  using cfd::padRight;
-
-  cfd::dist::DistSweepOptions dist;
-  dist.source = source;
-  dist.baseParams = options.paramSpecs;
-  dist.axes = tuneAxesFrom(options.sweeps);
-  dist.chunkDeadlineMillis = options.deadlineMs;
-  dist.workerSockets = options.workerSockets;
-
-  std::unique_ptr<cfd::dist::WorkerPoolSpawner> spawner;
-  std::string socketDir;
-  if (options.distributeExplicit) {
-    char dirTemplate[] = "/tmp/cfdc-dist-XXXXXX";
-    if (::mkdtemp(dirTemplate) == nullptr) {
-      std::cerr << "cfdc: cannot create a socket directory in /tmp\n";
-      return kExitIo;
-    }
-    socketDir = dirTemplate;
-    cfd::dist::SpawnOptions spawn;
-    spawn.workers = options.distribute;
-    spawn.sessionWorkers = options.jobsExplicit ? options.jobs : 1;
-    spawn.socketDir = socketDir;
-    // Workers are this very binary with --serve; when /proc/self/exe
-    // is unreadable (chroot, unlinked binary) fall back to the
-    // spawner's in-process server — same daemon, no exec.
-    char exePath[4096];
-    const ssize_t n =
-        ::readlink("/proc/self/exe", exePath, sizeof(exePath) - 1);
-    if (n > 0) {
-      exePath[n] = '\0';
-      spawn.cfdcPath = exePath;
-    }
-    spawner = std::make_unique<cfd::dist::WorkerPoolSpawner>(spawn);
-    const cfd::Expected<bool> started = spawner->start();
-    if (!started) {
-      for (const cfd::Diagnostic& diagnostic : started.diagnostics())
-        std::cerr << "cfdc: " << diagnostic.str() << "\n";
-      ::rmdir(socketDir.c_str());
-      return kExitIo;
-    }
-    dist.workerSockets = spawner->socketPaths();
-  }
-
-  cfd::dist::SweepCoordinator coordinator(std::move(dist));
-  const cfd::Expected<cfd::dist::DistSweepResult> swept = coordinator.run();
-  if (spawner != nullptr) {
-    spawner->stopAll();
-    ::rmdir(socketDir.c_str());
-  }
-  if (!swept) {
-    std::cerr << "cfdc: distributed sweep failed:\n";
-    for (const cfd::Diagnostic& diagnostic : swept.diagnostics())
-      std::cerr << "  " << diagnostic.str() << "\n";
-    return kExitDiagnostics;
-  }
-
-  if (options.emitExplicit && options.emit == "json")
-    return writeSweepReport(options, *swept);
-
-  std::size_t labelWidth = 12;
-  for (const cfd::dist::DistRow& row : swept->rows)
-    labelWidth = std::max(labelWidth, row.label.size() + 2);
-  std::cout << "  " << padRight("variant", labelWidth) << padLeft("m", 5)
-            << padLeft("k", 5) << padLeft("BRAM/PLM", 10)
-            << padLeft("kernel us", 11) << "\n";
-  for (const cfd::dist::DistRow& row : swept->rows) {
-    std::cout << "  " << padRight(row.label, labelWidth);
-    if (!row.feasible) {
-      std::cout << "infeasible: " << row.error << "\n";
-      continue;
-    }
-    std::cout << padLeft(std::to_string(row.m), 5)
-              << padLeft(std::to_string(row.k), 5)
-              << padLeft(std::to_string(row.bramPerPlm), 10)
-              << padLeft(formatFixed(row.kernelUs, 1), 11) << "\n";
-  }
-  const cfd::dist::DistSweepStats& stats = swept->stats;
-  std::cout << "  " << swept->rows.size() << " points ("
-            << swept->frontier.size() << " on the frontier) over "
-            << stats.workersConnected
-            << (stats.workersConnected == 1 ? " worker in " : " workers in ")
-            << formatFixed(stats.wallMillis, 1) << " ms\n";
-  std::cout << "  dist: " << stats.chunksDispatched << " chunks ("
-            << stats.chunksRetried << " retried), " << stats.workersLost
-            << " workers lost, " << stats.workersDemoted << " demoted, "
-            << stats.progressEvents << " progress events\n";
-  return 0;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -1421,12 +1287,6 @@ int main(int argc, char** argv) {
 
   if (!options.connectPath.empty())
     return runConnect(options, source.str());
-
-  // Distributed sweeps dispatch before the local Session exists:
-  // --distribute forks worker processes, which is only safe while this
-  // process has no pool threads yet.
-  if (options.distributeExplicit || !options.workerSockets.empty())
-    return runDistribute(options, source.str());
 
   // One session per invocation (DESIGN.md §10): --sweep/--tune and the
   // single-shot path all compile through the same caches and pool.
